@@ -2,38 +2,33 @@
 
    Usage: dune exec bench/main.exe [-- target ...] [-j N]
 
-   Targets: fig1 fig2 fig3 fig4 table1 claims contention redundancy procs
-   rftsa reliability recovery linkloss adversary micro kernel serve par
-   scale sim smoke all (default: all; "smoke" is a CI-sized sanity pass over
-   the hot simulation paths and is not part of "all"; "par" measures the
-   Domain pool's wall-clock speedup and checks digest equality vs
-   jobs=1, and additionally *asserts* speedup >= 1 when combined with
-   "smoke"; "serve" — also outside "all" — measures daemon round-trip
-   latency cold vs LRU-cached and writes BENCH_SERVE.json, path
-   overridable with FTSCHED_BENCH_SERVE_JSON; "scale" — also outside
-   "all" — runs FTSA on 10^4–10^5-task DAGs, writes BENCH_SCALE.json
-   (FTSCHED_BENCH_SCALE_JSON) and, with "smoke", asserts the v=10^4
-   layered case stays under 10 s and the parallel batch does not regress;
-   "sim" — also outside "all" — races the flat-array event engine against
-   the frozen pairing-heap reference and the warm-start workspaces
-   against cold calls, writes BENCH_SIM.json (FTSCHED_BENCH_SIM_JSON),
-   asserts result equality unconditionally and, with "smoke", that every
-   warm loop is at least as fast as its cold twin).
-   By default the figure sweeps use the reduced "quick" workload (8 graphs
-   per point) so the whole harness finishes in a couple of minutes; set
-   FTSCHED_FULL=1 to run the paper-scale workload (60 graphs per point and
-   the full Table-1 sizes), FTSCHED_CSV=<dir> to archive every table as
-   CSV, and FTSCHED_PLOTS=<dir> to emit gnuplot scripts per figure.
-   -j N (or FTSCHED_JOBS) pins the worker-domain count for the parallel
-   sweeps; every table is bit-identical for any N.  The "kernel" and
-   "par" targets additionally write machine-readable BENCH_PAR.json
-   (per-target wall-clock, speedup vs jobs=1, worker count; path
-   overridable with FTSCHED_BENCH_JSON) so the perf trajectory is
-   tracked across PRs. *)
+   Targets are the ids of the experiment registry (Ftsched_exp.Experiments)
+   plus the bench-only tiers below, which win on a name clash: here
+   "tournament" is the campaign tier, not the A8 matrix.  "all" (the
+   default) runs every registry entry plus micro and kernel; an unknown
+   target exits 2.
+   - smoke: CI-sized pass over the hot simulation paths; also turns on
+     the strict gates of par, scale, sim and tournament.
+   - micro, kernel: bechamel micro-benchmarks (kernel -> BENCH_PAR.json).
+   - par: Domain-pool speedup vs jobs=1, digests asserted equal
+     (BENCH_PAR.json, path FTSCHED_BENCH_JSON).
+   - serve: daemon round-trip latency, cold vs LRU-cached
+     (BENCH_SERVE.json, FTSCHED_BENCH_SERVE_JSON).
+   - scale: FTSA on 10^4–10^5-task DAGs (BENCH_SCALE.json,
+     FTSCHED_BENCH_SCALE_JSON); strict: layered v=10^4 under 10 s.
+   - sim: flat-array event engine vs the frozen reference, warm vs cold
+     workspaces (BENCH_SIM.json, FTSCHED_BENCH_SIM_JSON).
+   - tournament: annealing campaign digest across -j, witnesses replayed.
+   Registry entries run the "quick" workload (8 graphs per point);
+   FTSCHED_FULL=1 runs paper scale, FTSCHED_CSV=<dir> archives every
+   table as <slug>.csv and FTSCHED_PLOTS=<dir> emits <slug>.gp.  -j N
+   (or FTSCHED_JOBS) pins the worker count; tables are bit-identical for
+   any N. *)
 
 module Table = Ftsched_util.Table
 module Workload = Ftsched_exp.Workload
 module Figures = Ftsched_exp.Figures
+module Experiments = Ftsched_exp.Experiments
 module Par = Ftsched_par.Par
 
 let full = Sys.getenv_opt "FTSCHED_FULL" = Some "1"
@@ -56,14 +51,18 @@ let json_entries : json_entry list ref = ref []
 let record_entry ?jobs1_ms target wall_ms =
   json_entries := { target; wall_ms; jobs1_ms } :: !json_entries
 
+(* Write one bench JSON document to $[env], or [default] when unset. *)
+let save_json ~env ~default buf =
+  let path = Option.value ~default (Sys.getenv_opt env) in
+  let oc = open_out path in
+  Buffer.output_buffer oc buf;
+  close_out oc;
+  Printf.printf "[json] %s\n" path
+
 let write_bench_json () =
   match List.rev !json_entries with
   | [] -> ()
   | entries ->
-      let path =
-        Option.value ~default:"BENCH_PAR.json"
-          (Sys.getenv_opt "FTSCHED_BENCH_JSON")
-      in
       let buf = Buffer.create 1024 in
       Buffer.add_string buf
         (Printf.sprintf "{\n  \"jobs\": %d,\n  \"targets\": [\n"
@@ -84,10 +83,7 @@ let write_bench_json () =
           Buffer.add_string buf "}")
         entries;
       Buffer.add_string buf "\n  ]\n}\n";
-      let oc = open_out path in
-      output_string oc (Buffer.contents buf);
-      close_out oc;
-      Printf.printf "[json] %s\n" path
+      save_json ~env:"FTSCHED_BENCH_JSON" ~default:"BENCH_PAR.json" buf
 
 let wall_clock f =
   let t0 = Unix.gettimeofday () in
@@ -115,123 +111,18 @@ let show slug table =
       Ftsched_util.Gnuplot.save table ~basename;
       Printf.printf "[gnuplot] %s.gp\n" basename
 
-let run_figure ~id ~eps ~crash_counts =
-  section
-    (Printf.sprintf "Figure %s (eps=%d, %d graphs/point%s)" id eps
-       spec.Workload.graphs_per_point
-       (if full then ", paper scale" else ", quick"));
-  let p = Figures.figure ~spec ~eps ~crash_counts () in
-  Printf.printf "-- Figure %s(a): normalized latency bounds --\n" id;
-  show (Printf.sprintf "fig%s_bounds" id) p.Figures.bounds;
-  Printf.printf "-- Figure %s(b): normalized latency under crashes --\n" id;
-  show (Printf.sprintf "fig%s_crash" id) p.Figures.crash;
-  Printf.printf "-- Figure %s(c): average overhead (%%) --\n" id;
-  show (Printf.sprintf "fig%s_overhead" id) p.Figures.overhead;
-  Printf.printf
-    "-- diagnostic (not in paper): MC-FTSA strict-policy defeat rate --\n";
-  show (Printf.sprintf "fig%s_mc_defeats" id) p.Figures.mc_defeats
-
-let run_figure4 () =
-  section "Figure 4 (5 processors, eps=2, FTSA only)";
-  let latency, overhead = Figures.figure4 ~spec () in
-  Printf.printf "-- Figure 4(a): normalized latency --\n";
-  show "fig4_latency" latency;
-  Printf.printf "-- Figure 4(b): average overhead (%%) --\n";
-  show "fig4_overhead" overhead
-
-let run_contention () =
-  section
-    "Ablation (paper §7 future work): latency under communication contention";
-  Printf.printf
-    "Failure-free replay through the event simulator; the paper conjectures \
-     MC-FTSA wins once links contend.\n";
-  show "contention" (Figures.contention_ablation ~spec ~eps:2 ~ports:[ 1; 4 ] ())
-
-let run_redundancy () =
-  section "Ablation: redundant MC-FTSA (senders per input, eps=2, g=1.0)";
-  Printf.printf
-    "Strict-policy defeat rate vs message budget; senders=1 is the paper's \
-     MC-FTSA, senders=eps+1 restores FTSA's fan-in.\n";
-  show "redundancy" (Figures.redundancy_ablation ~spec ~eps:2 ())
-
-let run_procs () =
-  section "Ablation: platform-size sweep (eps=2, g=1.0)";
-  Printf.printf
-    "The full curve behind the paper's Figure-4 observation: on small \
-     platforms the replication cost can no longer hide.\n";
-  show "procs_sweep"
-    (Figures.procs_sweep ~spec ~eps:2 ~procs:[ 5; 8; 12; 16; 20; 30 ] ())
-
-let run_rftsa () =
-  section "Ablation (paper §7 future work): reliability-aware R-FTSA (eps=2)";
-  Printf.printf
-    "Latency slack alpha vs mission reliability when every second processor \
-     is 20x more failure-prone.\n";
-  show "rftsa" (Figures.rftsa_ablation ~spec ~eps:2 ())
-
-let run_reliability () =
-  section "Ablation (paper §7 future work): schedule reliability, p_fail=0.1";
-  Printf.printf
-    "Probability the application completes when every processor fails \
-     independently (m=%d).\n" spec.Workload.n_procs;
-  show "reliability" (Figures.reliability_ablation ~spec ~p_fail:0.1 ())
-
-let run_recovery () =
-  section "Ablation A5: online failure detection and recovery (eps=2, g=1.0)";
-  Printf.printf
-    "Exponential fault-injection campaign; intensity is the expected number \
-     of failures per processor over the static FTSA horizon, delta the \
-     detection latency as a fraction of that horizon.\n";
-  let p = Figures.recovery_ablation ~spec ~eps:2 () in
-  Printf.printf "-- A5(a): campaign defeat rates and recovered latency --\n";
-  show "recovery_campaign" p.Figures.campaign;
-  Printf.printf
-    "-- A5(b): exactly-eps failures (Finding 1 regime; recovery must reach \
-     defeat rate 0) --\n";
-  show "recovery_exact_eps" p.Figures.exact_eps
-
-let run_linkloss () =
-  section "Ablation A6: link failures and retransmission (eps=2, g=1.0)";
-  Printf.printf
-    "No processor dies; every inter-processor message is lost independently \
-     with the row's probability. FTSA's (eps+1)^2 messaging vs MC-FTSA's \
-     one-to-one plan, retransmission off/on, plus MC-FTSA under recovery.\n";
-  show "linkloss" (Figures.link_loss_ablation ~spec ~eps:2 ())
-
-let run_adversary () =
-  section "Adversarial timed worst-case search (eps=2, g=1.0)";
-  Printf.printf
-    "Certified-or-empirical worst over death instants, vs the untimed \
-     exhaustive worst; one FTSA and one MC-FTSA (strict) schedule per row.\n";
-  let module Adversary = Ftsched_sim.Adversary in
-  let table =
-    Table.create
-      ~columns:[ "algo"; "verdict"; "untimed worst"; "timed worst"; "evals" ]
-  in
-  let fmt_outcome = function
-    | Adversary.Defeated -> "defeated"
-    | Adversary.Latency l -> Printf.sprintf "%.1f" l
-  in
+(* A registry entry: its section title, then each panel's caption and
+   table, archived under the panel's slug. *)
+let run_entry (e : Experiments.entry) () =
+  section e.title;
+  let r = e.run { Experiments.full; graphs = None; seed = None } in
   List.iter
-    (fun (name, schedule) ->
-      let inst = Workload.instance spec ~master_seed:2008 ~granularity:1.0 ~index:0 in
-      let s = schedule inst in
-      let r = Adversary.search ~links:1 s ~count:2 in
-      Table.add_row table
-        [
-          name;
-          (match r.Adversary.verdict with
-          | Adversary.Certified -> "certified"
-          | Adversary.Empirical -> "empirical");
-          fmt_outcome r.Adversary.untimed_worst;
-          fmt_outcome r.Adversary.worst;
-          string_of_int r.Adversary.evaluations;
-        ])
-    [
-      ("ftsa", fun inst -> Ftsched_core.Ftsa.schedule inst ~eps:2);
-      ("mc-ftsa", fun inst -> Ftsched_core.Mc_ftsa.schedule inst ~eps:2);
-    ];
-  show "adversary" table
+    (fun (p : Experiments.panel) ->
+      Printf.printf "-- %s --\n" p.caption;
+      show p.slug p.table)
+    r.panels;
+  if r.failed <> [] then
+    Printf.printf "failed checks: %s\n" (String.concat ", " r.failed)
 
 (* CI-sized sanity pass: exercises the hot simulation paths (event engine
    with contention, the lossy channel with retransmission, recovery, the
@@ -250,21 +141,6 @@ let run_smoke () =
       ~intensities:[ 0.15 ] ~delta_factors:[ 0.02 ] ()
   in
   show "smoke_recovery" p.Figures.campaign
-
-let run_claims () =
-  section "Self-check: the paper's qualitative claims as assertions";
-  let verdicts = Ftsched_exp.Claims.verify ~spec () in
-  show "claims" (Ftsched_exp.Claims.to_table verdicts);
-  Printf.printf "claims verified: %d/%d\n"
-    (List.length (List.filter (fun v -> v.Ftsched_exp.Claims.holds) verdicts))
-    (List.length verdicts)
-
-let run_table1 () =
-  let sizes = if full then Figures.paper_sizes else [ 100; 500; 1000 ] in
-  section
-    (Printf.sprintf "Table 1: running times (m=50, eps=5, sizes up to %d)"
-       (List.fold_left max 0 sizes));
-  show "table1" (Figures.table1 ~sizes ())
 
 (* Run a list of bechamel tests and render the OLS estimates as a table.
    [record] additionally appends each estimate to BENCH_PAR.json. *)
@@ -363,7 +239,7 @@ module Unhoisted_ftsa = struct
       | c -> c
   end
 
-  module Alpha = Ftsched_ds.Avl.Make (Prio_key)
+  module Alpha = Set.Make (Prio_key)
 
   type committed = { proc : int; finish_opt : float; finish_pess : float }
 
@@ -394,16 +270,16 @@ module Unhoisted_ftsa = struct
       let key =
         { Prio_key.prio = tl +. bl.(t); tie = Rng.float_in rng 0. 1.; task = t }
       in
-      alpha := Alpha.add key () !alpha
+      alpha := Alpha.add key !alpha
     in
     List.iter push_free (Dag.entries g);
     let remaining = Array.init v (fun t -> Dag.in_degree g t) in
     let continue_run = ref true in
     while !continue_run do
-      match Alpha.pop_max !alpha with
+      match Alpha.max_elt_opt !alpha with
       | None -> continue_run := false
-      | Some (key, (), rest) ->
-          alpha := rest;
+      | Some key ->
+          alpha := Alpha.remove key !alpha;
           let t = key.Prio_key.task in
           let estimate p =
             (* the unhoisted inner loops: preds × replicas per processor *)
@@ -620,14 +496,9 @@ type scale_row = {
   schedule_ms : float;
   tasks_per_s : float;
   alloc_mwords : float;  (** words allocated during the run, in 1e6 *)
-  peak_mwords : float;  (** [Gc.top_heap_words] after the run, in 1e6 *)
 }
 
 let write_scale_json rows ~batch_name ~jobs1_ms ~jobsn_ms ~digests_equal =
-  let path =
-    Option.value ~default:"BENCH_SCALE.json"
-      (Sys.getenv_opt "FTSCHED_BENCH_SCALE_JSON")
-  in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
     (Printf.sprintf
@@ -641,9 +512,9 @@ let write_scale_json rows ~batch_name ~jobs1_ms ~jobsn_ms ~digests_equal =
         (Printf.sprintf
            "    {\"family\": %S, \"tasks\": %d, \"edges\": %d, \"build_ms\": \
             %.1f, \"schedule_ms\": %.1f, \"tasks_per_s\": %.0f, \
-            \"alloc_mwords\": %.2f, \"peak_mwords\": %.2f}"
+            \"alloc_mwords\": %.2f}"
            r.family r.tasks r.edges r.build_ms r.schedule_ms r.tasks_per_s
-           r.alloc_mwords r.peak_mwords))
+           r.alloc_mwords))
     rows;
   Buffer.add_string buf
     (Printf.sprintf
@@ -652,10 +523,7 @@ let write_scale_json rows ~batch_name ~jobs1_ms ~jobsn_ms ~digests_equal =
        batch_name jobs1_ms (Par.default_jobs ()) jobsn_ms
        (if jobsn_ms > 0. then jobs1_ms /. jobsn_ms else 1.)
        digests_equal);
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "[json] %s\n" path
+  save_json ~env:"FTSCHED_BENCH_SCALE_JSON" ~default:"BENCH_SCALE.json" buf
 
 let run_scale ~strict () =
   let jobs = Par.default_jobs () in
@@ -714,7 +582,6 @@ let run_scale ~strict () =
           schedule_ms;
           tasks_per_s = 1000. *. float_of_int tasks /. schedule_ms;
           alloc_mwords = alloc_words /. 1e6;
-          peak_mwords = float_of_int g1.Gc.top_heap_words /. 1e6;
         })
       cases
   in
@@ -723,7 +590,7 @@ let run_scale ~strict () =
       ~columns:
         [
           "family"; "tasks"; "edges"; "build (ms)"; "schedule (ms)";
-          "tasks/s"; "alloc (MW)"; "peak heap (MW)";
+          "tasks/s"; "alloc (MW)";
         ]
   in
   List.iter
@@ -735,7 +602,6 @@ let run_scale ~strict () =
           Printf.sprintf "%.1f" r.schedule_ms;
           Printf.sprintf "%.0f" r.tasks_per_s;
           Printf.sprintf "%.2f" r.alloc_mwords;
-          Printf.sprintf "%.2f" r.peak_mwords;
         ])
     rows;
   show "scale" table;
@@ -945,12 +811,8 @@ let run_serve () =
       Printf.sprintf "%.0f" (rps cached_ms cached_n);
     ];
   show "serve" table;
-  let path =
-    Option.value ~default:"BENCH_SERVE.json"
-      (Sys.getenv_opt "FTSCHED_BENCH_SERVE_JSON")
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
+  let buf = Buffer.create 512 in
+  Printf.bprintf buf
     "{\n\
     \  \"jobs\": %d,\n\
     \  \"cold\": {\"requests\": %d, \"ms_per_request\": %.3f, \
@@ -964,8 +826,7 @@ let run_serve () =
     (per_req cached_ms cached_n)
     (rps cached_ms cached_n)
     (per_req cold_ms cold_n /. Float.max 1e-9 (per_req cached_ms cached_n));
-  close_out oc;
-  Printf.printf "[json] %s\n" path
+  save_json ~env:"FTSCHED_BENCH_SERVE_JSON" ~default:"BENCH_SERVE.json" buf
 
 (* ------------------------------------------------------------------ *)
 (* "sim" target: throughput of the flat-array event engine against the
@@ -995,10 +856,6 @@ type warm_row = {
 }
 
 let write_sim_json rows warms =
-  let path =
-    Option.value ~default:"BENCH_SIM.json"
-      (Sys.getenv_opt "FTSCHED_BENCH_SIM_JSON")
-  in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
     "{\n  \"v\": 800,\n  \"m\": 50,\n  \"eps\": 2,\n  \"engine\": [\n";
@@ -1026,10 +883,7 @@ let write_sim_json rows warms =
            w.warm_name w.cold_ms w.warm_ms (w.cold_ms /. w.warm_ms)))
     warms;
   Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "[json] %s\n" path
+  save_json ~env:"FTSCHED_BENCH_SIM_JSON" ~default:"BENCH_SIM.json" buf
 
 let run_sim ~strict () =
   let module Event_sim = Ftsched_sim.Event_sim in
@@ -1290,33 +1144,40 @@ let () =
     | [] -> [ "all" ]
     | rest -> rest
   in
-  let want t =
-    List.mem t args
-    || List.mem "all" args
-       && t <> "smoke" && t <> "par" && t <> "serve" && t <> "scale"
-       && t <> "sim" && t <> "tournament"
+  let strict = List.mem "smoke" args in
+  (* The bench-only tiers resolve first, so "tournament" names the
+     strict campaign tier; "all" runs every registry entry (the A8
+     matrix included) plus micro and kernel. *)
+  let tiers =
+    [
+      ("smoke", false, run_smoke);
+      ("micro", true, run_micro);
+      ("kernel", true, run_kernel);
+      ("serve", false, run_serve);
+      ("par", false, run_par ~strict);
+      ("scale", false, run_scale ~strict);
+      ("sim", false, run_sim ~strict);
+      ("tournament", false, run_tournament ~strict);
+    ]
   in
-  if want "fig1" then run_figure ~id:"1" ~eps:1 ~crash_counts:[ 0; 1 ];
-  if want "fig2" then run_figure ~id:"2" ~eps:2 ~crash_counts:[ 0; 1; 2 ];
-  if want "fig3" then run_figure ~id:"3" ~eps:5 ~crash_counts:[ 0; 2; 5 ];
-  if want "fig4" then run_figure4 ();
-  if want "table1" then run_table1 ();
-  if want "claims" then run_claims ();
-  if want "contention" then run_contention ();
-  if want "redundancy" then run_redundancy ();
-  if want "procs" then run_procs ();
-  if want "rftsa" then run_rftsa ();
-  if want "reliability" then run_reliability ();
-  if want "recovery" then run_recovery ();
-  if want "linkloss" then run_linkloss ();
-  if want "adversary" then run_adversary ();
-  if want "smoke" then run_smoke ();
-  if want "micro" then run_micro ();
-  if want "kernel" then run_kernel ();
-  if want "serve" then run_serve ();
-  if want "par" then run_par ~strict:(List.mem "smoke" args) ();
-  if want "scale" then run_scale ~strict:(List.mem "smoke" args) ();
-  if want "sim" then run_sim ~strict:(List.mem "smoke" args) ();
-  if want "tournament" then run_tournament ~strict:(List.mem "smoke" args) ();
+  let entries =
+    List.map (fun e -> (e.Experiments.id, true, run_entry e)) Experiments.all
+  in
+  let names = List.map (fun (n, _, _) -> n) (tiers @ entries) in
+  let resolve name =
+    List.find_opt (fun (n, _, _) -> n = name) (tiers @ entries)
+  in
+  (match List.filter (fun a -> a <> "all" && resolve a = None) args with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "bench: unknown target(s) %s\nvalid targets: all %s\n"
+        (String.concat " " unknown)
+        (String.concat " " (List.sort_uniq compare names));
+      exit 2);
+  let chosen = List.filter_map resolve args in
+  List.iter
+    (fun ((_, in_all, run) as t) ->
+      if (in_all && List.mem "all" args) || List.memq t chosen then run ())
+    (entries @ tiers);
   write_bench_json ();
   Printf.printf "\nDone.\n"

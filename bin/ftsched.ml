@@ -40,8 +40,6 @@ module Scenario = Ftsched_sim.Scenario
 module Crash_exec = Ftsched_sim.Crash_exec
 module Event_sim = Ftsched_sim.Event_sim
 module Recovery = Ftsched_recovery.Recovery
-module Workload = Ftsched_exp.Workload
-module Figures = Ftsched_exp.Figures
 module Stream = Ftsched_stream.Stream
 
 (* ------------------------------------------------------------------ *)
@@ -675,27 +673,13 @@ let bicriteria_cmd =
 (* experiment                                                          *)
 
 let experiment_cmd =
+  let module E = Ftsched_exp.Experiments in
+  let ids = List.map (fun e -> e.E.id) E.all in
   let what =
     Arg.(
-      value & pos 0 (enum
-                       [ ("fig1", `F1); ("fig2", `F2); ("fig3", `F3);
-                         ("fig4", `F4); ("table1", `T1);
-                         ("contention", `Contention);
-                         ("redundancy", `Redundancy);
-                         ("claims", `Claims);
-                         ("procs", `Procs);
-                         ("rftsa", `Rftsa);
-                         ("reliability", `Reliability);
-                         ("recovery", `Recov);
-                         ("linkloss", `Linkloss);
-                         ("stream", `Stream7);
-                         ("tournament", `Tournament8) ])
-        `F1
-      & info [] ~docv:"WHAT"
-          ~doc:
-            "fig1 | fig2 | fig3 | fig4 | table1 | contention | redundancy | \
-             claims | procs | rftsa | reliability | recovery | linkloss | \
-             stream | tournament")
+      value
+      & pos 0 (enum (List.map (fun e -> (e.E.id, e)) E.all)) (List.hd E.all)
+      & info [] ~docv:"WHAT" ~doc:(String.concat " | " ids))
   in
   let full =
     Arg.(
@@ -707,69 +691,11 @@ let experiment_cmd =
       value & opt (some pos_int_conv) None
       & info [ "graphs" ] ~docv:"N" ~doc:"Override graphs per point.")
   in
-  let run what full graphs seed jobs =
+  let run (what : E.entry) full graphs seed jobs =
     apply_jobs jobs;
-    let spec = if full then Workload.paper else Workload.quick in
-    let spec =
-      match graphs with
-      | Some n -> Workload.with_graphs_per_point spec n
-      | None -> spec
-    in
-    let show_panels ~eps ~crash_counts =
-      let p = Figures.figure ~spec ~master_seed:seed ~eps ~crash_counts () in
-      Table.print p.Figures.bounds;
-      Table.print p.Figures.crash;
-      Table.print p.Figures.overhead;
-      Table.print p.Figures.mc_defeats
-    in
-    match what with
-    | `F1 -> show_panels ~eps:1 ~crash_counts:[ 0; 1 ]
-    | `F2 -> show_panels ~eps:2 ~crash_counts:[ 0; 1; 2 ]
-    | `F3 -> show_panels ~eps:5 ~crash_counts:[ 0; 2; 5 ]
-    | `F4 ->
-        let latency, overhead = Figures.figure4 ~spec ~master_seed:seed () in
-        Table.print latency;
-        Table.print overhead
-    | `T1 ->
-        let sizes = if full then Figures.paper_sizes else [ 100; 500; 1000 ] in
-        Table.print (Figures.table1 ~sizes ~seed ())
-    | `Contention ->
-        Table.print
-          (Figures.contention_ablation ~spec ~master_seed:seed ~eps:2
-             ~ports:[ 1; 4 ] ())
-    | `Redundancy ->
-        Table.print (Figures.redundancy_ablation ~spec ~master_seed:seed ~eps:2 ())
-    | `Claims ->
-        let verdicts = Ftsched_exp.Claims.verify ~spec ~master_seed:seed () in
-        Table.print (Ftsched_exp.Claims.to_table verdicts);
-        if not (Ftsched_exp.Claims.all_hold verdicts) then exit 1
-    | `Procs ->
-        Table.print
-          (Figures.procs_sweep ~spec ~master_seed:seed ~eps:2
-             ~procs:[ 5; 8; 12; 16; 20; 30 ] ())
-    | `Rftsa ->
-        Table.print (Figures.rftsa_ablation ~spec ~master_seed:seed ~eps:2 ())
-    | `Reliability ->
-        Table.print
-          (Figures.reliability_ablation ~spec ~master_seed:seed ~p_fail:0.1 ())
-    | `Recov ->
-        let p = Figures.recovery_ablation ~spec ~master_seed:seed ~eps:2 () in
-        Table.print p.Figures.campaign;
-        Table.print p.Figures.exact_eps
-    | `Linkloss ->
-        Table.print (Figures.link_loss_ablation ~spec ~master_seed:seed ~eps:2 ())
-    | `Stream7 ->
-        let seeds_per_point =
-          match graphs with
-          | Some n -> n
-          | None -> if full then 30 else 10
-        in
-        Table.print
-          (Figures.stream_ablation ~master_seed:seed ~seeds_per_point ())
-    | `Tournament8 ->
-        let pairs = if full then 30 else 12 in
-        let iters = if full then 400 else 120 in
-        Table.print (Figures.tournament_matrix ~master_seed:seed ~pairs ~iters ())
+    let r = what.E.run { E.full; graphs; seed = Some seed } in
+    List.iter (fun p -> Table.print p.E.table) r.E.panels;
+    if r.E.failed <> [] then exit 1
   in
   Cmd.v (Cmd.info "experiment" ~doc:"Regenerate the paper's figures/tables")
     Term.(const run $ what $ full $ graphs $ seed_arg $ jobs_arg)

@@ -1,8 +1,8 @@
 (** Allocation-free binary max-heap over [(priority, tie, task)] keys.
 
     The driver's priority list [α] pops the maximum
-    [(priority, tie, task)] binding once per scheduled task.  The AVL
-    list it used allocates O(log n) nodes per operation; this heap keeps
+    [(priority, tie, task)] binding once per scheduled task.  A balanced
+    tree allocates O(log n) nodes per operation; this heap keeps
     the three key components in parallel unboxed arrays (doubling
     growth), so pushes and pops allocate nothing once the arrays reach
     the working size.
@@ -11,7 +11,7 @@
     float components.  Task ids are unique within a heap, so keys are
     distinct, the maximum is unique, and the pop sequence matches any
     other faithful implementation of the same total order bit for bit —
-    the digest-pinned schedules prove it against the AVL baseline. *)
+    the digest-pinned schedules prove it. *)
 
 type t
 

@@ -37,6 +37,11 @@ let mean_overhead results key =
   in
   List.fold_left ( +. ) 0. values /. float_of_int (List.length values)
 
+(* The [index]-th graph of a point and the scheduler seed it runs with. *)
+let graph spec ~master_seed ~granularity index =
+  ( Workload.instance spec ~master_seed ~granularity ~index,
+    master_seed + (31 * index) )
+
 let figure ?(spec = Workload.quick) ?(master_seed = 2008) ?crash_samples ?jobs
     ~eps ~crash_counts () =
   let points =
@@ -199,8 +204,7 @@ let contention_ablation ?(spec = Workload.quick) ?(master_seed = 2008) ~eps
       let totals = Array.make n_cols 0. in
       let norm = ref 0. in
       for index = 0 to spec.Workload.graphs_per_point - 1 do
-        let inst = Workload.instance spec ~master_seed ~granularity ~index in
-        let seed = master_seed + (31 * index) in
+        let inst, seed = graph spec ~master_seed ~granularity index in
         let f = Ftsa.schedule ~seed inst ~eps in
         let mc = Mc_ftsa.schedule ~seed inst ~eps in
         norm := !norm +. Runner.mean_edge_comm inst;
@@ -251,8 +255,7 @@ let reliability_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
   for eps = 0 to max_eps do
     let b = ref 0. and f = ref 0. and ms = ref 0. and mr = ref 0. in
     for index = 0 to spec.Workload.graphs_per_point - 1 do
-      let inst = Workload.instance spec ~master_seed ~granularity ~index in
-      let seed = master_seed + (31 * index) in
+      let inst, seed = graph spec ~master_seed ~granularity index in
       let s_ftsa = Ftsa.schedule ~seed inst ~eps in
       let s_mc = Mc_ftsa.schedule ~seed inst ~eps in
       let rng = Rng.create ~seed:(seed + 101) in
@@ -318,8 +321,7 @@ let rftsa_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
     (fun alpha ->
       let lb = ref 0. and ub = ref 0. and rel = ref 0. and norm = ref 0. in
       for index = 0 to spec.Workload.graphs_per_point - 1 do
-        let inst = Workload.instance spec ~master_seed ~granularity ~index in
-        let seed = master_seed + (31 * index) in
+        let inst, seed = graph spec ~master_seed ~granularity index in
         let m = Instance.n_procs inst in
         (* calibrate the base rate against FTSA's horizon so the sweep
            sits in the informative part of the reliability curve *)
@@ -370,8 +372,7 @@ let redundancy_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
       let defeats = ref 0 and trials = ref 0 in
       let msgs = ref 0 and lb = ref 0. and ub = ref 0. and norm = ref 0. in
       for index = 0 to spec.Workload.graphs_per_point - 1 do
-        let inst = Workload.instance spec ~master_seed ~granularity ~index in
-        let seed = master_seed + (31 * index) in
+        let inst, seed = graph spec ~master_seed ~granularity index in
         let s =
           Mc_ftsa.schedule ~seed ~strategy:(Mc_ftsa.Redundant senders) inst ~eps
         in
@@ -427,8 +428,7 @@ let recovery_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
   (* Shared per-graph state: instance, schedules, horizon, normalizer. *)
   let prepared =
     Par.parallel_init ?jobs graphs (fun index ->
-        let inst = Workload.instance spec ~master_seed ~granularity ~index in
-        let seed = master_seed + (31 * index) in
+        let inst, seed = graph spec ~master_seed ~granularity index in
         let s_ftsa = Ftsa.schedule ~seed inst ~eps in
         let s_mc = Mc_ftsa.schedule ~seed inst ~eps in
         let s_unrep = Ftsa.schedule ~seed inst ~eps:0 in
@@ -572,8 +572,7 @@ let link_loss_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
   let graphs = spec.Workload.graphs_per_point in
   let prepared =
     Par.parallel_init ?jobs graphs (fun index ->
-        let inst = Workload.instance spec ~master_seed ~granularity ~index in
-        let seed = master_seed + (31 * index) in
+        let inst, seed = graph spec ~master_seed ~granularity index in
         let s_ftsa = Ftsa.schedule ~seed inst ~eps in
         let s_mc = Mc_ftsa.schedule ~seed inst ~eps in
         (inst, seed, s_ftsa, s_mc, Runner.mean_edge_comm inst))
@@ -660,6 +659,38 @@ let link_loss_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
     ]
   in
   List.iter (Table.add_row table) (Par.parallel_map ?jobs loss_row losses);
+  table
+
+(* ------------------------------------------------------------------ *)
+(* Adversarial timed worst-case search                                 *)
+
+let adversary_table ?(spec = Workload.quick) ?(master_seed = 2008) ~eps () =
+  let module Adversary = Ftsched_sim.Adversary in
+  let table =
+    Table.create
+      ~columns:[ "algo"; "verdict"; "untimed worst"; "timed worst"; "evals" ]
+  in
+  let fmt_outcome = function
+    | Adversary.Defeated -> "defeated"
+    | Adversary.Latency l -> Printf.sprintf "%.1f" l
+  in
+  let inst = Workload.instance spec ~master_seed ~granularity:1.0 ~index:0 in
+  List.iter
+    (fun (name, s) ->
+      let r = Adversary.search ~links:1 s ~count:eps in
+      Table.add_row table
+        [
+          name;
+          (match r.Adversary.verdict with
+          | Adversary.Certified -> "certified"
+          | Adversary.Empirical -> "empirical");
+          fmt_outcome r.Adversary.untimed_worst;
+          fmt_outcome r.Adversary.worst;
+          string_of_int r.Adversary.evaluations;
+        ])
+    [
+      ("ftsa", Ftsa.schedule inst ~eps); ("mc-ftsa", Mc_ftsa.schedule inst ~eps);
+    ];
   table
 
 let time_once f =

@@ -51,6 +51,15 @@ val figure4 :
     overhead) tables for 0, 1 and 2 crashes, where the latency spread
     with the number of failures becomes visible. *)
 
+val adversary_table :
+  ?spec:Workload.spec ->
+  ?master_seed:int ->
+  eps:int ->
+  unit ->
+  Ftsched_util.Table.t
+(** {!Ftsched_sim.Adversary} search ([eps] deaths, one link) on the
+    first g = 1.0 instance: timed vs untimed worst, FTSA and MC-FTSA. *)
+
 val table1 :
   ?sizes:int list ->
   ?m:int ->

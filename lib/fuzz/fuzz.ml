@@ -579,62 +579,96 @@ let run_seed ?(schedulers = schedulers) seed =
 (* ------------------------------------------------------------------ *)
 (* Witness files                                                       *)
 
-let write_case ~path ~scheduler ~oracle case =
+(* One codec for every witness format: a magic line, "key value" header
+   lines, "# ..." comment lines, then an optional instance document that
+   starts at its own "ftsched v1" line. *)
+let write_witness ~path ~magic ?(comments = []) ?instance headers =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf "ftsched-fuzz v1\n";
-  Printf.bprintf buf "scheduler %s\n" scheduler;
-  Printf.bprintf buf "eps %d\n" case.eps;
-  Printf.bprintf buf "sched-seed %d\n" case.sched_seed;
-  Printf.bprintf buf "oracle %s\n" (oracle_name oracle);
-  Buffer.add_string buf (Serialize.instance_to_string case.instance);
+  Buffer.add_string buf (magic ^ "\n");
+  List.iter (fun (k, v) -> Printf.bprintf buf "%s %s\n" k v) headers;
+  List.iter (fun c -> Printf.bprintf buf "# %s\n" c) comments;
+  Option.iter
+    (fun i -> Buffer.add_string buf (Serialize.instance_to_string i))
+    instance;
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> Buffer.output_buffer oc buf)
 
-let read_case ~path =
+type witness = { w_path : string; headers : string list; doc : string list }
+
+let read_witness ~path ~magic ~with_instance =
   let ic = open_in path in
   let body =
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  let lines = String.split_on_char '\n' body in
-  (match lines with
-  | magic :: _ when String.trim magic = "ftsched-fuzz v1" -> ()
-  | _ -> failwith (path ^ ": bad magic (expected \"ftsched-fuzz v1\")"));
-  let header, rest =
-    let rec split acc = function
-      | [] -> failwith (path ^ ": missing instance document")
-      | l :: tl when String.trim l = "ftsched v1" -> (List.rev acc, l :: tl)
-      | l :: tl -> split (l :: acc) tl
-    in
-    split [] (List.tl lines)
-  in
-  let find key =
-    List.find_map
-      (fun l ->
-        match String.split_on_char ' ' (String.trim l) with
-        | k :: rest when k = key -> Some (String.concat " " rest)
-        | _ -> None)
-      header
-  in
-  let req key =
-    match find key with
-    | Some v -> v
-    | None -> failwith (Printf.sprintf "%s: missing %S header" path key)
-  in
-  let int_of key v =
-    match int_of_string_opt v with
-    | Some i -> i
-    | None -> failwith (Printf.sprintf "%s: bad %s %S" path key v)
-  in
-  let scheduler = req "scheduler" in
-  let eps = int_of "eps" (req "eps") in
-  let sched_seed = int_of "sched-seed" (req "sched-seed") in
-  let oracle = Option.bind (find "oracle") oracle_of_name in
-  let instance = Serialize.instance_of_string (String.concat "\n" rest) in
-  (scheduler, oracle, { instance; eps; sched_seed })
+  match String.split_on_char '\n' body with
+  | m :: lines when String.trim m = magic ->
+      let rec split acc = function
+        | [] when with_instance ->
+            failwith (path ^ ": missing instance document")
+        | [] -> (List.rev acc, [])
+        | l :: tl when with_instance && String.trim l = "ftsched v1" ->
+            (List.rev acc, l :: tl)
+        | l :: tl -> split (l :: acc) tl
+      in
+      let headers, doc = split [] lines in
+      { w_path = path; headers; doc }
+  | _ -> failwith (Printf.sprintf "%s: bad magic (expected %S)" path magic)
+
+let header_opt w key =
+  List.find_map
+    (fun l ->
+      match String.split_on_char ' ' (String.trim l) with
+      | k :: rest when k = key -> Some (String.concat " " rest)
+      | _ -> None)
+    w.headers
+
+let header w key =
+  match header_opt w key with
+  | Some v -> v
+  | None -> failwith (Printf.sprintf "%s: missing %S header" w.w_path key)
+
+let int_header w key =
+  let v = header w key in
+  match int_of_string_opt v with
+  | Some i -> i
+  | None -> failwith (Printf.sprintf "%s: bad %s %S" w.w_path key v)
+
+let witness_case w =
+  let eps = int_header w "eps" in
+  let sched_seed = int_header w "sched-seed" in
+  let instance = Serialize.instance_of_string (String.concat "\n" w.doc) in
+  { instance; eps; sched_seed }
+
+let case_magic = "ftsched-fuzz v1"
+
+let write_case ~path ~scheduler ~oracle case =
+  write_witness ~path ~magic:case_magic ~instance:case.instance
+    [
+      ("scheduler", scheduler);
+      ("eps", string_of_int case.eps);
+      ("sched-seed", string_of_int case.sched_seed);
+      ("oracle", oracle_name oracle);
+    ]
+
+let read_case ~path =
+  let w = read_witness ~path ~magic:case_magic ~with_instance:true in
+  let scheduler = header w "scheduler" in
+  let case = witness_case w in
+  (scheduler, Option.bind (header_opt w "oracle") oracle_of_name, case)
+
+(* The seed-only formats (stream, parser): the case IS the seed; the
+   violations found are kept as comments. *)
+let write_seed_case ~magic ~path ~seed violations =
+  write_witness ~path ~magic
+    ~comments:(List.map (fun v -> v.detail) violations)
+    [ ("seed", string_of_int seed) ]
+
+let read_seed_case ~magic ~path =
+  int_header (read_witness ~path ~magic ~with_instance:false) "seed"
 
 (* ------------------------------------------------------------------ *)
 (* Stream traces: the fifth oracle family.  A whole streaming trace —
@@ -665,43 +699,8 @@ let check_stream ~seed =
 
 let stream_magic = "ftsched-stream v1"
 
-let write_stream_case ~path ~seed violations =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "%s\nseed %d\n" stream_magic seed;
-      List.iter (fun v -> Printf.fprintf oc "# %s\n" v.detail) violations)
-
-(* Shared by the seed-only witness formats (stream, parser): versioned
-   magic line, then a "seed N" header. *)
-let read_seed_case ~path ~magic body =
-  match String.split_on_char '\n' body with
-  | m :: rest when String.trim m = magic -> (
-      let seed_line =
-        List.find_opt
-          (fun l ->
-            match String.split_on_char ' ' (String.trim l) with
-            | "seed" :: _ -> true
-            | _ -> false)
-          rest
-      in
-      match seed_line with
-      | Some l -> (
-          match String.split_on_char ' ' (String.trim l) with
-          | [ _; v ] when int_of_string_opt v <> None -> int_of_string v
-          | _ -> failwith (path ^ ": bad seed line"))
-      | None -> failwith (path ^ ": missing \"seed\" header"))
-  | _ -> failwith (path ^ ": bad magic (expected \"" ^ magic ^ "\")")
-
-let read_body path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let read_stream_case ~path =
-  read_seed_case ~path ~magic:stream_magic (read_body path)
+let write_stream_case = write_seed_case ~magic:stream_magic
+let read_stream_case = read_seed_case ~magic:stream_magic
 
 (* ------------------------------------------------------------------ *)
 (* Parser safety: the sixth oracle family.  Like stream traces the case
@@ -791,16 +790,8 @@ let check_parser ~seed =
 
 let parser_magic = "ftsched-parser v1"
 
-let write_parser_case ~path ~seed violations =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "%s\nseed %d\n" parser_magic seed;
-      List.iter (fun v -> Printf.fprintf oc "# %s\n" v.detail) violations)
-
-let read_parser_case ~path =
-  read_seed_case ~path ~magic:parser_magic (read_body path)
+let write_parser_case = write_seed_case ~magic:parser_magic
+let read_parser_case = read_seed_case ~magic:parser_magic
 
 (* ------------------------------------------------------------------ *)
 (* Tournament witnesses.  The instance-space tournament
@@ -820,73 +811,30 @@ type tournament_witness = {
 }
 
 let write_tournament_case ~path w =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (tournament_magic ^ "\n");
-  Printf.bprintf buf "policy-a %s\n" w.policy_a;
-  Printf.bprintf buf "policy-b %s\n" w.policy_b;
-  Printf.bprintf buf "metric %s\n" w.metric;
-  (* %h keeps the ratio bit-exact across the round trip, like every
-     float in the instance document below. *)
-  Printf.bprintf buf "ratio %h\n" w.ratio;
-  Printf.bprintf buf "eps %d\n" w.case.eps;
-  Printf.bprintf buf "sched-seed %d\n" w.case.sched_seed;
-  Buffer.add_string buf (Serialize.instance_to_string w.case.instance);
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc buf)
+  write_witness ~path ~magic:tournament_magic ~instance:w.case.instance
+    [
+      ("policy-a", w.policy_a);
+      ("policy-b", w.policy_b);
+      ("metric", w.metric);
+      (* %h keeps the ratio bit-exact across the round trip, like every
+         float in the instance document below. *)
+      ("ratio", Printf.sprintf "%h" w.ratio);
+      ("eps", string_of_int w.case.eps);
+      ("sched-seed", string_of_int w.case.sched_seed);
+    ]
 
 let read_tournament_case ~path =
-  let body = read_body path in
-  let lines = String.split_on_char '\n' body in
-  (match lines with
-  | magic :: _ when String.trim magic = tournament_magic -> ()
-  | _ -> failwith (path ^ ": bad magic (expected \"" ^ tournament_magic ^ "\")"));
-  let header, rest =
-    let rec split acc = function
-      | [] -> failwith (path ^ ": missing instance document")
-      | l :: tl when String.trim l = "ftsched v1" -> (List.rev acc, l :: tl)
-      | l :: tl -> split (l :: acc) tl
-    in
-    split [] (List.tl lines)
-  in
-  let find key =
-    List.find_map
-      (fun l ->
-        match String.split_on_char ' ' (String.trim l) with
-        | k :: rest when k = key -> Some (String.concat " " rest)
-        | _ -> None)
-      header
-  in
-  let req key =
-    match find key with
-    | Some v -> v
-    | None -> failwith (Printf.sprintf "%s: missing %S header" path key)
-  in
-  let int_of key v =
-    match int_of_string_opt v with
-    | Some i -> i
-    | None -> failwith (Printf.sprintf "%s: bad %s %S" path key v)
-  in
+  let w = read_witness ~path ~magic:tournament_magic ~with_instance:true in
   let ratio =
-    let v = req "ratio" in
+    let v = header w "ratio" in
     match float_of_string_opt v with
     | Some r -> r
     | None -> failwith (Printf.sprintf "%s: bad ratio %S" path v)
   in
-  let instance = Serialize.instance_of_string (String.concat "\n" rest) in
-  {
-    policy_a = req "policy-a";
-    policy_b = req "policy-b";
-    metric = req "metric";
-    ratio;
-    case =
-      {
-        instance;
-        eps = int_of "eps" (req "eps");
-        sched_seed = int_of "sched-seed" (req "sched-seed");
-      };
-  }
+  let policy_a = header w "policy-a" in
+  let policy_b = header w "policy-b" in
+  let metric = header w "metric" in
+  { policy_a; policy_b; metric; ratio; case = witness_case w }
 
 (* ------------------------------------------------------------------ *)
 

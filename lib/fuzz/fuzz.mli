@@ -210,6 +210,15 @@ val write_tournament_case : path:string -> tournament_witness -> unit
 val read_tournament_case : path:string -> tournament_witness
 (** Raises [Failure] on a malformed file. *)
 
+val write_stream_case : path:string -> seed:int -> violation list -> unit
+(** ["ftsched-stream v1"] magic, a [seed] header, then one ["# ..."]
+    comment line per violation; [ftsched-parser v1] has the same layout.
+    The readers return the seed and raise [Failure] on a malformed file. *)
+
+val read_stream_case : path:string -> int
+val write_parser_case : path:string -> seed:int -> violation list -> unit
+val read_parser_case : path:string -> int
+
 val replay :
   ?schedulers:scheduler list ->
   string ->

@@ -35,6 +35,7 @@ type state = {
   pred_vol : float array;
   succ_off : int array;
   succ_task : int array;
+  trace : Trace.t option;
 }
 
 type tie_break = Rng_tie | Lifo_tie
@@ -73,6 +74,10 @@ let replicas_of st t =
 let prepare_inputs st t =
   let pl = Instance.platform st.inst in
   let m = st.n_procs in
+  (match st.trace with
+  | Some tr ->
+      Trace.add_input_work tr ((st.pred_off.(t + 1) - st.pred_off.(t)) * m)
+  | None -> ());
   Array.fill st.in_opt 0 m 0.;
   Array.fill st.in_pess 0 m 0.;
   for k = st.pred_off.(t) to st.pred_off.(t + 1) - 1 do
@@ -180,8 +185,8 @@ let commit_insertion st t chosen =
 
 (* Priority list α: a binary max-heap keyed by (priority, tie, task id);
    the head H(α) is the maximum binding.  Task ids are unique, so the
-   key order is total and the pop sequence is identical to the AVL list
-   this replaces — the pinned schedule digests prove it. *)
+   key order is total and the pop sequence is the one any ordered set
+   over these keys gives — the pinned schedule digests prove it. *)
 module Alpha = Ftsched_ds.Bin_heap
 
 (* A reusable allocation arena for [run]: every per-call array (timeline
@@ -305,6 +310,7 @@ let run ~rng ~instance ~policy ?release ?deadlines ?trace ?workspace () =
       pred_vol = Dag.Csr.pred_volumes g;
       succ_off = Dag.Csr.succ_offsets g;
       succ_task = Dag.Csr.succ_tasks g;
+      trace;
     }
   in
   (* Residual timelines: pre-commit each processor's foreign busy tail as

@@ -66,6 +66,7 @@ type state = {
   pred_vol : float array;  (** CSR predecessor edge volumes *)
   succ_off : int array;  (** CSR successor offsets *)
   succ_task : int array;  (** CSR successor task ids *)
+  trace : Trace.t option;  (** {!prepare_inputs} counts its work here *)
 }
 (** The driver's mutable run state, exposed so policies can read the
     partial schedule and write selected edges.  Policies must not touch

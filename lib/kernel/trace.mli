@@ -43,6 +43,10 @@ val steps : t -> step list
 val stats : t -> Ftsched_schedule.Metrics.step_stats
 (** Aggregate counters of the traced run. *)
 
+val input_work : t -> int
+(** Σ in-degree × m over {!Driver.prepare_inputs} calls: the e·m term of
+    FTSA's O(e·m²) bound, a pure function of instance and seed. *)
+
 val save_jsonl : t -> path:string -> unit
 (** One JSON object per step, in scheduling order, followed by a final
     summary object with the aggregate counters. *)
@@ -54,5 +58,6 @@ val save_jsonl : t -> path:string -> unit
 val start : t -> algorithm:string -> unit
 val record : t -> step -> unit
 val add_evals : t -> int -> unit
+val add_input_work : t -> int -> unit
 val add_phase : t -> [ `Evaluate | `Choose | `Commit ] -> float -> unit
 val finish : t -> gap:Proc_state.gap_stats -> unit

@@ -195,36 +195,37 @@ let prop_event_heap_drains_sorted =
       in
       drain_events h = expect)
 
+(* Model: the pending (at, seq) keys as a Set — unique by seq, ordered
+   like the heap — so each model operation is O(log n). *)
+module Event_keys = Set.Make (struct
+  type t = float * int
+
+  let compare (a1, s1) (a2, s2) =
+    match Float.compare a1 a2 with 0 -> compare s1 s2 | c -> c
+end)
+
 let prop_event_heap_interleaved =
   QCheck.Test.make
-    ~name:"Event_heap interleaved push/pop matches sorted-list model"
+    ~name:"Event_heap interleaved push/pop matches Set model"
     ~count:300
     QCheck.(list (int_bound 8))
     (fun ops ->
       let h = Eh.create ~capacity:1 () in
-      let model = ref [] (* sorted increasing (at, seq) *) in
+      let model = ref Event_keys.empty in
       let seq = ref 0 in
       let ok = ref true in
       List.iter
         (fun at ->
-          if at = 0 && !model <> [] then begin
-            (match !model with
-            | (mat, mseq) :: rest ->
-                if Eh.min_at h <> mat || Eh.min_seq h <> mseq then ok := false;
-                Eh.drop_min h;
-                model := rest
-            | [] -> assert false)
-          end
-          else begin
-            incr seq;
-            let at = float_of_int at in
-            Eh.push h ~at ~seq:!seq ~payload:0;
-            model :=
-              List.sort
-                (fun (a1, s1) (a2, s2) ->
-                  match Float.compare a1 a2 with 0 -> compare s1 s2 | c -> c)
-                ((at, !seq) :: !model)
-          end)
+          match Event_keys.min_elt_opt !model with
+          | Some ((mat, mseq) as key) when at = 0 ->
+              if Eh.min_at h <> mat || Eh.min_seq h <> mseq then ok := false;
+              Eh.drop_min h;
+              model := Event_keys.remove key !model
+          | _ ->
+              incr seq;
+              let at = float_of_int at in
+              Eh.push h ~at ~seq:!seq ~payload:0;
+              model := Event_keys.add (at, !seq) !model)
         ops;
       !ok)
 
@@ -291,32 +292,42 @@ let prop_bin_heap_drains_sorted =
       in
       drain h = expect)
 
+(* Model: the pending (prio, tie, task) keys as a Set — unique by task,
+   ordered like the heap — so each model operation is O(log n). *)
+module Prio_keys = Set.Make (struct
+  type t = float * float * int
+
+  let compare = compare
+end)
+
 let prop_bin_heap_interleaved =
   QCheck.Test.make
-    ~name:"Bin_heap interleaved push/pop matches sorted-list model"
+    ~name:"Bin_heap interleaved push/pop matches Set model"
     ~count:300
     QCheck.(list (pair (int_bound 8) (int_bound 8)))
     (fun ops ->
-      (* model: the same keys in a list kept sorted decreasing; pop every
-         third op so pushes and pops interleave like the driver loop *)
+      (* pop every third op so pushes and pops interleave like the
+         driver loop *)
       let h = Bh.create () in
-      let model = ref [] in
+      let model = ref Prio_keys.empty and size = ref 0 in
       let ok = ref true in
       List.iteri
         (fun i (p, t) ->
           let key = (float_of_int p, float_of_int t, i) in
           let p, t, task = key in
           Bh.push h ~prio:p ~tie:t ~task;
-          model := List.sort (fun a b -> compare b a) (key :: !model);
+          model := Prio_keys.add key !model;
+          incr size;
           if i mod 3 = 2 then begin
-            (match !model with
-            | (mp, _, mtask) :: rest ->
+            (match Prio_keys.max_elt_opt !model with
+            | Some ((mp, _, mtask) as top) ->
                 if Bh.max_task h <> mtask || Bh.max_prio h <> mp then
                   ok := false;
                 Bh.drop_max h;
-                model := rest
-            | [] -> ok := false);
-            if Bh.length h <> List.length !model then ok := false
+                model := Prio_keys.remove top !model;
+                decr size
+            | None -> ok := false);
+            if Bh.length h <> !size then ok := false
           end)
         ops;
       !ok)

@@ -172,6 +172,25 @@ let test_claims () =
   check_bool "all_hold" true (Figures_claims.all_hold verdicts);
   check_int "table rows" 12 (Table.row_count (Figures_claims.to_table verdicts))
 
+(* The registry is the single list both front ends select from: ids and
+   slugs (CSV/gnuplot file stems) must be unique, and every id must be
+   found again by [find]. *)
+let test_registry () =
+  let module E = Ftsched_exp.Experiments in
+  let unique what l =
+    check_int (what ^ " unique") (List.length l)
+      (List.length (List.sort_uniq compare l))
+  in
+  unique "ids" (List.map (fun e -> e.E.id) E.all);
+  unique "slugs" (List.concat_map (fun e -> e.E.slugs) E.all);
+  List.iter
+    (fun e ->
+      match E.find e.E.id with
+      | Some e' -> Alcotest.(check string) "find" e.E.id e'.E.id
+      | None -> Alcotest.failf "find %S" e.E.id)
+    E.all;
+  check_bool "unknown id" true (E.find "fig9" = None)
+
 let () =
   Alcotest.run "exp"
     [
@@ -208,4 +227,6 @@ let () =
         ] );
       ( "claims",
         [ Alcotest.test_case "paper claims verify" `Slow test_claims ] );
+      ( "registry",
+        [ Alcotest.test_case "ids and slugs" `Quick test_registry ] );
     ]

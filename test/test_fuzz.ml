@@ -120,6 +120,40 @@ let test_witness_roundtrip () =
     (Serialize.instance_to_string case.instance)
     (Serialize.instance_to_string case'.Fuzz.instance)
 
+(* The seed-only formats: written bytes are pinned, the seed reads back,
+   and the shared codec's typed failures surface. *)
+let test_seed_witness_roundtrip () =
+  let path = Filename.temp_file "ftsched_fuzz" ".case" in
+  let read_all () = In_channel.with_open_bin path In_channel.input_all in
+  let violations =
+    [ { Fuzz.oracle = Fuzz.Stream_lost; detail = "job 3 lost" } ]
+  in
+  List.iter
+    (fun (magic, write, read) ->
+      write ~path ~seed:4242 violations;
+      Alcotest.(check string)
+        (magic ^ " bytes")
+        (magic ^ "\nseed 4242\n# job 3 lost\n")
+        (read_all ());
+      check_int (magic ^ " seed") 4242 (read ~path);
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (magic ^ "\n# no seed\n"));
+      (match read ~path with
+      | _ -> Alcotest.fail "missing seed should fail"
+      | exception Failure msg ->
+          check_bool "missing header" true
+            (Helpers.contains msg "missing \"seed\" header"));
+      Out_channel.with_open_bin path (fun oc -> output_string oc "junk\n");
+      match read ~path with
+      | _ -> Alcotest.fail "bad magic should fail"
+      | exception Failure msg ->
+          check_bool "bad magic" true (Helpers.contains msg "bad magic"))
+    [
+      ("ftsched-stream v1", Fuzz.write_stream_case, Fuzz.read_stream_case);
+      ("ftsched-parser v1", Fuzz.write_parser_case, Fuzz.read_parser_case);
+    ];
+  Sys.remove path
+
 let test_campaign_saves_replayable_witness () =
   (* end-to-end: campaign with the buggy scheduler finds, shrinks and
      saves a witness under _fuzz/ that replays to the same violation *)
@@ -291,6 +325,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_witness_roundtrip;
           Alcotest.test_case "replay errors" `Quick test_replay_errors;
+          Alcotest.test_case "stream and parser roundtrip" `Quick
+            test_seed_witness_roundtrip;
         ] );
       ( "stream-oracle",
         [
